@@ -84,7 +84,7 @@ pub fn run_blocking<T: CollTransport>(
         life = step(life, "drain");
         for (r, p) in round.recvs.iter().zip(pending) {
             let bytes = transport.complete(p)?;
-            state.apply(&r.what, &bytes, ctx.reduction);
+            state.apply(&r.what, bytes, ctx.reduction);
             life = step(life, "recv");
         }
         life = step(life, "finish");
@@ -167,7 +167,7 @@ pub fn run_local(schedule: &Schedule, ctx: ExecCtx, contributions: &[Vec<u8>]) -
                     let Some(bytes) = wires[from * n + me].pop_front() else {
                         break; // blocked on this recv; let others run
                     };
-                    ranks[me].state.apply(&r.what, &bytes, ctx.reduction);
+                    ranks[me].state.apply(&r.what, bytes, ctx.reduction);
                     ranks[me].life = step(ranks[me].life, "recv");
                     ranks[me].next_recv += 1;
                     progressed = true;

@@ -20,6 +20,7 @@ use std::rc::Rc;
 
 use faultlab::{DegradeWindow, FaultPlan};
 use hwmodel::ClusterSpec;
+use mpsim::multirank::Payload;
 use mpsim::{LibProfile, MultiSession};
 use protosim::multinode::{MultiEngine, MultiNet};
 use simcore::trace::{stages, SharedSink, SpanRec};
@@ -123,8 +124,10 @@ struct RankRun {
     round: usize,
     /// Receives still outstanding in the current round.
     waiting: usize,
-    /// Arrived payloads for the current round, recv-step indexed.
-    arrived: Vec<Option<Vec<u8>>>,
+    /// Arrived payloads for the current round, recv-step indexed. Kept
+    /// as delivered so [`Driver::complete_round`] can move them into the
+    /// rank state.
+    arrived: Vec<Option<Payload>>,
     round_start: SimTime,
     finish: Option<SimTime>,
 }
@@ -160,7 +163,7 @@ impl RecoveryRt {
 const MAX_DEADLINE_REARMS: u32 = 64;
 
 struct Driver {
-    schedule: Schedule,
+    schedule: Rc<Schedule>,
     ctx: ExecCtx,
     sess: MultiSession,
     ranks: Vec<RefCell<RankRun>>,
@@ -229,7 +232,8 @@ impl Driver {
                 }
                 r.life = step(r.life, "drain");
                 r.waiting = round.recvs.len();
-                r.arrived = vec![None; round.recvs.len()];
+                r.arrived.clear();
+                r.arrived.resize(round.recvs.len(), None);
                 (sends, round.recvs.len())
             };
             for (slot, recv) in self.schedule.plans[vrank].rounds[self.ranks[rank].borrow().round]
@@ -266,7 +270,7 @@ impl Driver {
         eng: &mut MultiEngine,
         rank: usize,
         slot: usize,
-        payload: Rc<Vec<u8>>,
+        payload: Payload,
     ) {
         if self.dead(rank) || self.aborted() {
             return;
@@ -285,7 +289,7 @@ impl Driver {
         let done = {
             let mut r = self.ranks[rank].borrow_mut();
             r.life = step(r.life, "recv");
-            r.arrived[slot] = Some(payload.to_vec());
+            r.arrived[slot] = Some(payload);
             r.waiting -= 1;
             r.waiting == 0
         };
@@ -300,14 +304,17 @@ impl Driver {
     fn complete_round(self: &Rc<Self>, eng: &mut MultiEngine, rank: usize) {
         let n = self.schedule.nranks;
         let vrank = virtual_rank(rank, self.ctx.root, n);
-        let mut r = self.ranks[rank].borrow_mut();
+        let mut guard = self.ranks[rank].borrow_mut();
+        let r = &mut *guard;
         let round = &self.schedule.plans[vrank].rounds[r.round];
         let mut bytes = 0u64;
-        let arrived = std::mem::take(&mut r.arrived);
-        for (recv, payload) in round.recvs.iter().zip(arrived) {
+        for (recv, payload) in round.recvs.iter().zip(r.arrived.drain(..)) {
             let payload = payload.expect("round completed with a receive slot empty"); // lint:allow(expect) -- complete_round only runs once waiting hits zero, so every slot is filled
             bytes += payload.len() as u64;
-            r.state.apply(&recv.what, &payload, self.ctx.reduction);
+            // The session hands over its only reference, so this moves
+            // the bytes rather than copying them.
+            r.state
+                .apply(&recv.what, Rc::unwrap_or_clone(payload), self.ctx.reduction);
         }
         r.life = step(r.life, "finish");
         if let Some(t) = &self.trace {
@@ -436,7 +443,9 @@ struct EpochOutcome {
     cleared: usize,
     /// Group-indexed `(epoch-relative finish seconds, output)`.
     finished: Vec<Option<(f64, CollOutput)>>,
-    /// Group-indexed bcast payload carry (empty-pattern for other ops).
+    /// Group-indexed bcast payload carry. Taken only when the epoch
+    /// aborted (a clean epoch is the last one); empty otherwise and for
+    /// other ops.
     bcast_hold: Vec<Option<Vec<u8>>>,
 }
 
@@ -482,7 +491,7 @@ impl FaultSet {
 fn run_epoch(
     spec: &ClusterSpec,
     profile: &LibProfile,
-    schedule: &Schedule,
+    schedule: &Rc<Schedule>,
     ctx: ExecCtx,
     contributions: &[Vec<u8>],
     trace: &Option<SharedSink>,
@@ -530,7 +539,7 @@ fn run_epoch(
         }
     }
     let driver = Rc::new(Driver {
-        schedule: schedule.clone(),
+        schedule: Rc::clone(schedule),
         ctx,
         sess,
         ranks: (0..m)
@@ -572,14 +581,12 @@ fn run_epoch(
     let rt = driver.recovery.as_ref();
     let aborted = rt.is_some_and(|rt| rt.aborted.get());
     let mut finished = Vec::with_capacity(m);
-    let mut bcast_hold = Vec::with_capacity(m);
+    let mut bcast_hold = Vec::new();
     for g in 0..m {
         let mut r = driver.ranks[g].borrow_mut();
-        bcast_hold.push(if schedule.op == CollOp::Bcast {
-            r.state.bcast_payload().map(<[u8]>::to_vec)
-        } else {
-            None
-        });
+        if aborted && schedule.op == CollOp::Bcast {
+            bcast_hold.push(r.state.bcast_payload().map(<[u8]>::to_vec));
+        }
         let fin = (!aborted).then_some(r.finish).flatten().map(|t| {
             let vrank = virtual_rank(g, ctx.root, m);
             let state = std::mem::take(&mut r.state);
@@ -638,14 +645,13 @@ pub fn run_sim(
     let faults = FaultSet::from_options(opts);
     let killed = Rc::new(RefCell::new(vec![false; n]));
     let member = Rc::new(RefCell::new(vec![Membership::initial(); n]));
-    let originals: Vec<Vec<u8>> = contributions.to_vec();
     let mut alive = vec![true; n];
     let mut bcast_hold: Vec<Option<Vec<u8>>> = vec![None; n];
     if schedule.op == CollOp::Bcast {
-        bcast_hold[ctx.root] = Some(originals[ctx.root].clone());
+        bcast_hold[ctx.root] = Some(contributions[ctx.root].clone());
     }
     let mut root_world = ctx.root;
-    let mut cur_schedule = schedule.clone();
+    let mut cur_schedule = Rc::new(schedule.clone());
     let mut cur_world: Vec<usize> = (0..n).collect();
     let mut base_us = 0.0f64;
     let mut events = 0u64;
@@ -676,7 +682,7 @@ pub fn run_sim(
                         Vec::new()
                     }
                 } else {
-                    originals[w].clone()
+                    contributions[w].clone()
                 }
             })
             .collect();
@@ -766,7 +772,7 @@ pub fn run_sim(
             let contribution = if schedule.op == CollOp::Bcast {
                 bcast_hold[w].clone().unwrap_or_default()
             } else {
-                originals[w].clone()
+                contributions[w].clone()
             };
             outputs[w] =
                 Some(RankState::init(schedule.op, 1, 0, &contribution).into_output(schedule.op, 0));
@@ -774,8 +780,10 @@ pub fn run_sim(
             report.retries += 1;
             break;
         }
-        cur_schedule = build(schedule.op, algorithm, m)
-            .expect("replanned schedule builds for the survivor group"); // lint:allow(expect) -- algorithm falls back to auto_algorithm, which plans every group size
+        cur_schedule = Rc::new(
+            build(schedule.op, algorithm, m)
+                .expect("replanned schedule builds for the survivor group"), // lint:allow(expect) -- algorithm falls back to auto_algorithm, which plans every group size
+        );
         cur_world = survivors;
         report.retries += 1;
     }

@@ -86,8 +86,10 @@ impl RankState {
     }
 
     /// Fold arriving `bytes` into this rank's state per the recv step.
-    /// `reduction` must be `Some` whenever the step is `CombineAcc`.
-    pub fn apply(&mut self, what: &RecvWhat, bytes: &[u8], reduction: Option<Reduction>) {
+    /// The buffer is taken by value so a replaced accumulator or a
+    /// single-block store keeps it without a copy. `reduction` must be
+    /// `Some` whenever the step is `CombineAcc`.
+    pub fn apply(&mut self, what: &RecvWhat, bytes: Vec<u8>, reduction: Option<Reduction>) {
         match what {
             RecvWhat::Token => {
                 assert!(
@@ -98,16 +100,16 @@ impl RankState {
             }
             RecvWhat::CombineAcc => {
                 let r = reduction.expect("CombineAcc step without a reduction"); // lint:allow(expect) -- the planner emits CombineAcc only for reducing ops, where executors always pass a reduction
-                combine_bytes(r.dtype, r.op, &mut self.acc, bytes);
+                combine_bytes(r.dtype, r.op, &mut self.acc, &bytes);
             }
             RecvWhat::ReplaceAcc => {
-                self.acc = bytes.to_vec();
+                self.acc = bytes;
             }
             RecvWhat::Blocks(idxs) => {
                 if let [only] = idxs.as_slice() {
-                    self.store_block(*only, bytes.to_vec());
+                    self.store_block(*only, bytes);
                 } else {
-                    for (idx, part) in idxs.iter().zip(unpack_blocks(bytes, idxs.len())) {
+                    for (idx, part) in idxs.iter().zip(unpack_blocks(&bytes, idxs.len())) {
                         self.store_block(*idx, part);
                     }
                 }
@@ -185,8 +187,8 @@ mod tests {
     fn allgather_state_roundtrips_blocks() {
         let mut s = RankState::init(CollOp::Allgather, 3, 1, b"one");
         assert_eq!(s.payload(&SendWhat::Blocks(vec![1])), b"one");
-        s.apply(&RecvWhat::Blocks(vec![0]), b"zero", None);
-        s.apply(&RecvWhat::Blocks(vec![2]), b"two", None);
+        s.apply(&RecvWhat::Blocks(vec![0]), b"zero".to_vec(), None);
+        s.apply(&RecvWhat::Blocks(vec![2]), b"two".to_vec(), None);
         let out = s.into_output(CollOp::Allgather, 1);
         assert_eq!(
             out.blocks,
@@ -197,10 +199,10 @@ mod tests {
     #[test]
     fn multi_block_payload_frames_and_unframes() {
         let mut a = RankState::init(CollOp::Allgather, 4, 2, b"cc");
-        a.apply(&RecvWhat::Blocks(vec![3]), b"ddd", None);
+        a.apply(&RecvWhat::Blocks(vec![3]), b"ddd".to_vec(), None);
         let framed = a.payload(&SendWhat::Blocks(vec![2, 3]));
         let mut b = RankState::init(CollOp::Allgather, 4, 0, b"a");
-        b.apply(&RecvWhat::Blocks(vec![2, 3]), &framed, None);
+        b.apply(&RecvWhat::Blocks(vec![2, 3]), framed, None);
         assert_eq!(b.payload(&SendWhat::Blocks(vec![3])), b"ddd");
     }
 
@@ -211,7 +213,7 @@ mod tests {
             op: ReduceOp::Sum,
         };
         let mut s = RankState::init(CollOp::Reduce, 2, 0, &5u64.to_le_bytes());
-        s.apply(&RecvWhat::CombineAcc, &7u64.to_le_bytes(), Some(r));
+        s.apply(&RecvWhat::CombineAcc, 7u64.to_le_bytes().to_vec(), Some(r));
         let out = s.into_output(CollOp::Reduce, 0);
         assert_eq!(out.acc, 12u64.to_le_bytes());
     }

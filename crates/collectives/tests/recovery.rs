@@ -7,7 +7,11 @@
 //!   survivors finish with the correct wrapped-integer sum;
 //! * **complete** — *any* single-rank death, for every algorithm at
 //!   every awkward rank count (primes included), still yields the
-//!   correct reduction over the survivors.
+//!   correct reduction over the survivors;
+//! * **carried** — a broadcast whose root dies re-roots on the lowest
+//!   survivor that already holds the payload, and every survivor ends
+//!   with the root's bytes; a root dead before sending anything leaves
+//!   nothing to carry and ends partial, not hung.
 
 use collectives::{
     algorithms_for, build, run_sim, CollOp, Dtype, ExecCtx, RankFault, RecoveryPolicy, ReduceOp,
@@ -187,4 +191,88 @@ fn any_single_rank_death_reduces_correctly_over_survivors() {
             }
         }
     }
+}
+
+const BCAST_N: usize = 8;
+const BCAST_ROOT: usize = 1;
+
+fn bcast_payload() -> Vec<u8> {
+    (0..4096u32).map(|i| (i * 31 + 7) as u8).collect()
+}
+
+fn run_bcast(options: &SimOptions) -> SimReport {
+    let mut contributions = vec![Vec::new(); BCAST_N];
+    contributions[BCAST_ROOT] = bcast_payload();
+    let schedule = build(CollOp::Bcast, collectives::Algorithm::Tree, BCAST_N)
+        .expect("8-rank tree bcast plans");
+    run_sim(
+        &pcs_ga620(),
+        &mpich(MpichConfig::tuned()).profile,
+        &schedule,
+        ExecCtx {
+            root: BCAST_ROOT,
+            reduction: None,
+        },
+        &contributions,
+        options,
+    )
+}
+
+const BCAST_POLICY: RecoveryPolicy = RecoveryPolicy {
+    deadline_us: 2_000.0,
+    backoff_us: 500.0,
+    max_epochs: 4,
+};
+
+#[test]
+fn bcast_root_death_reroots_on_the_lowest_payload_holder() {
+    // Rooted at 1, the binomial tree is 1 -> {2, 3, 5}, 2 -> {4, 6},
+    // 3 -> 7, 4 -> 0. Rank 4 is dead from the start, so rank 0 (the
+    // lowest survivor once the root goes) never receives in the first
+    // epoch. The root is killed at 1 ms, after its children received.
+    let kill_root_us = 1_000.0;
+    let clean = run_bcast(&SimOptions::default());
+    for child in [2, 3, 5] {
+        let t = clean.finish_secs[child].expect("clean bcast completes") * 1e6;
+        assert!(t < kill_root_us, "child {child} received at {t} us");
+    }
+
+    let report = run_bcast(&SimOptions {
+        faults: vec![RankFault::Dead(4)],
+        plan: Some(FaultPlan::parse("seed=1,kill-rank=1@1000us").expect("valid plan")),
+        recovery: Some(BCAST_POLICY),
+        ..SimOptions::default()
+    });
+    let rec = report.recovery.as_ref().expect("recovery report");
+    // Epoch 1 evicts the dead intermediate, epoch 2 the dead root, and
+    // epoch 3 runs from the carry: rank 0 holds nothing, so the new root
+    // is rank 2, and an empty or missing carry would show below.
+    assert_eq!(rec.evicted, vec![4, BCAST_ROOT]);
+    assert_eq!(rec.epochs.len(), 2);
+    assert!(report.all_survivors_completed(), "{rec:?}");
+    let want = bcast_payload();
+    for (r, out) in report.outputs.iter().enumerate() {
+        if rec.evicted.contains(&r) {
+            assert!(out.is_none(), "evicted rank {r} has an output");
+            continue;
+        }
+        let out = out
+            .as_ref()
+            .unwrap_or_else(|| panic!("rank {r} has no output"));
+        assert_eq!(out.acc, want, "rank {r} holds the root's bytes");
+    }
+}
+
+#[test]
+fn bcast_root_dead_from_the_start_ends_partial() {
+    let report = run_bcast(&SimOptions {
+        faults: vec![RankFault::Dead(BCAST_ROOT)],
+        recovery: Some(BCAST_POLICY),
+        ..SimOptions::default()
+    });
+    let rec = report.recovery.as_ref().expect("recovery report");
+    assert_eq!(rec.evicted, vec![BCAST_ROOT]);
+    assert!(!report.all_survivors_completed());
+    assert_eq!(report.completed, 0, "no survivor can hold the payload");
+    assert!(report.outputs.iter().all(Option::is_none));
 }

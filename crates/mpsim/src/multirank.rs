@@ -9,6 +9,12 @@
 //! real backend), with the bound [`LibProfile`]'s per-message costs —
 //! send/receive overheads, copy passes, optional byte checking, and
 //! the eager→rendezvous handshake — charged on the endpoint CPUs.
+//!
+//! Host cost follows the traffic, not the world size: each receiver
+//! keeps a list of only the senders that have reached it, created on
+//! first use, so a session is O(n + active pairs) in memory. Payloads
+//! travel as one shared [`Payload`] from `send` to the receive
+//! continuation and are never copied on the way.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -27,6 +33,7 @@ pub type Payload = Rc<Vec<u8>>;
 /// Completion callback for a posted receive.
 pub type RecvContinuation = Box<dyn FnOnce(&mut MultiEngine, Payload)>;
 
+#[derive(Default)]
 struct PairQueues {
     /// Arrived-but-unclaimed messages, FIFO.
     arrived: VecDeque<(i32, Payload)>,
@@ -34,11 +41,31 @@ struct PairQueues {
     posted: VecDeque<(i32, RecvContinuation)>,
 }
 
+/// Receiver `to`'s queues for the pairs that have seen traffic,
+/// `(from, queues)` in first-use order. A linear scan suffices: in the
+/// collective schedules a rank hears from at most about log2(n) peers.
+#[derive(Default)]
+struct Inbox(Vec<(usize, PairQueues)>);
+
+impl Inbox {
+    /// The `from → this rank` queues, created empty on first use.
+    fn pair(&mut self, from: usize) -> &mut PairQueues {
+        let i = match self.0.iter().position(|(f, _)| *f == from) {
+            Some(i) => i,
+            None => {
+                self.0.push((from, PairQueues::default()));
+                self.0.len() - 1
+            }
+        };
+        &mut self.0[i].1
+    }
+}
+
 struct Inner {
     profile: LibProfile,
     n: usize,
-    /// Indexed `from * n + to`.
-    pairs: RefCell<Vec<PairQueues>>,
+    /// Indexed by receiving rank.
+    inboxes: RefCell<Vec<Inbox>>,
     /// Extra per-send CPU microseconds per rank (degradation studies).
     extra_send_us: RefCell<Vec<f64>>,
     /// Timed degradation windows from a fault plan: sends issued while
@@ -60,14 +87,7 @@ impl MultiSession {
             inner: Rc::new(Inner {
                 profile,
                 n,
-                pairs: RefCell::new(
-                    (0..n * n)
-                        .map(|_| PairQueues {
-                            arrived: VecDeque::new(),
-                            posted: VecDeque::new(),
-                        })
-                        .collect(),
-                ),
+                inboxes: RefCell::new((0..n).map(|_| Inbox::default()).collect()),
                 extra_send_us: RefCell::new(vec![0.0; n]),
                 degrade: RefCell::new(Vec::new()),
             }),
@@ -183,15 +203,14 @@ impl MultiSession {
 
     // analyze: hot
     fn deliver(&self, eng: &mut MultiEngine, from: usize, to: usize, tag: i32, payload: Payload) {
-        let n = self.inner.n;
-        let mut pairs = self.inner.pairs.borrow_mut();
-        let q = &mut pairs[from * n + to];
+        let mut inboxes = self.inner.inboxes.borrow_mut();
+        let q = inboxes[to].pair(from);
         if let Some((want, k)) = q.posted.pop_front() {
             assert_eq!(
                 want, tag,
                 "rank {to} posted tag {want} from {from} but got {tag}: collective tags desynchronized"
             );
-            drop(pairs);
+            drop(inboxes);
             k(eng, payload);
         } else {
             q.arrived.push_back((tag, payload));
@@ -211,15 +230,14 @@ impl MultiSession {
         tag: i32,
         k: RecvContinuation,
     ) {
-        let n = self.inner.n;
-        let mut pairs = self.inner.pairs.borrow_mut();
-        let q = &mut pairs[from * n + to];
+        let mut inboxes = self.inner.inboxes.borrow_mut();
+        let q = inboxes[to].pair(from);
         if let Some((got, payload)) = q.arrived.pop_front() {
             assert_eq!(
                 got, tag,
                 "rank {to} posted tag {tag} from {from} but head-of-line is {got}: collective tags desynchronized"
             );
-            drop(pairs);
+            drop(inboxes);
             let now = eng.now();
             eng.schedule_at(now, move |e| k(e, payload));
         } else {
@@ -231,10 +249,11 @@ impl MultiSession {
     /// receive — a completed run should leave everything drained.
     pub fn has_unmatched(&self) -> bool {
         self.inner
-            .pairs
+            .inboxes
             .borrow()
             .iter()
-            .any(|q| !q.arrived.is_empty() || !q.posted.is_empty())
+            .flat_map(|inbox| &inbox.0)
+            .any(|(_, q)| !q.arrived.is_empty() || !q.posted.is_empty())
     }
 }
 
@@ -305,6 +324,20 @@ mod tests {
         eng.run();
         assert_eq!(*got.borrow(), vec![0, 1, 2, 3]);
         assert!(!sess.has_unmatched());
+    }
+
+    #[test]
+    fn unmatched_receive_is_reported() {
+        let mut eng = engine(4);
+        let sess = MultiSession::new(crate::libs::mpich(Default::default()).profile, 4);
+        sess.send(&mut eng, 0, 3, 5, Rc::new(vec![1]));
+        sess.post_recv(&mut eng, 3, 0, 5, Box::new(|_, _| {}));
+        sess.post_recv(&mut eng, 3, 2, 5, Box::new(|_, _| {}));
+        eng.run();
+        assert!(
+            sess.has_unmatched(),
+            "the receive from rank 2 never matched"
+        );
     }
 
     #[test]

@@ -83,29 +83,29 @@ impl MultiNet {
 /// (full bisection); ports serialize, which is where halo-exchange
 /// contention appears.
 pub fn send(eng: &mut MultiEngine, from: usize, to: usize, bytes: u64, k: MultiContinuation) {
-    use std::cell::RefCell;
-    use std::rc::Rc;
     assert!(from != to, "self-sends do not cross the fabric");
     let now = eng.now();
-    // Segment arrival times at the receiver's port; the receiver's CPU
-    // work is booked *when each segment arrives* (an event), never
-    // eagerly — otherwise a send issued now would pre-empt the receiving
-    // node's own future transmissions on its shared CPU.
-    let mut arrivals: Vec<(SimTime, u64)> = Vec::new();
-    {
-        let MultiNet { spec, nodes, .. } = &mut eng.world;
-        assert!(from < nodes.len() && to < nodes.len(), "node out of range");
-        let mss = u64::from(spec.nic.mss(TCPIP_HEADERS));
-        let cpu = &spec.host.cpu;
+    let (mss, hop) = {
+        let spec = &eng.world.spec;
+        assert!(
+            from < eng.world.nodes.len() && to < eng.world.nodes.len(),
+            "node out of range"
+        );
         // One switch hop plus propagation; coalescing charged at delivery.
         let hop = SimDuration::from_micros_f64(
             spec.switch_latency_us.max(0.5) + 0.05 + spec.nic.rx_coalesce_us,
         );
-        let mut remaining = bytes.max(1);
-        let mut first = true;
-        while remaining > 0 {
-            let seg = remaining.min(mss);
-            remaining -= seg;
+        (u64::from(spec.nic.mss(TCPIP_HEADERS)), hop)
+    };
+    let mut remaining = bytes.max(1);
+    let mut first = true;
+    let mut k = Some(k);
+    while remaining > 0 {
+        let seg = remaining.min(mss);
+        remaining -= seg;
+        let t3 = {
+            let MultiNet { spec, nodes, .. } = &mut eng.world;
+            let cpu = &spec.host.cpu;
             let mut tx_work = SimDuration::from_micros_f64(cpu.kernel_pkt_tx_us)
                 + SimDuration::for_bytes(seg, cpu.kernel_copy_bps);
             if first {
@@ -116,31 +116,28 @@ pub fn send(eng: &mut MultiEngine, from: usize, to: usize, bytes: u64, k: MultiC
             let t1 = nodes[from].cpu.serve_for(now, tx_work, seg);
             let t1b = nodes[from].nic.serve(t1, frame);
             let t2 = nodes[from].tx.serve(t1b, frame);
-            let t3 = nodes[to].rx.serve(t2 + hop, frame);
-            arrivals.push((t3, seg));
-        }
-    }
-    let nsegs = arrivals.len() as u32;
-    let segs_left = Rc::new(RefCell::new(nsegs));
-    let k = Rc::new(RefCell::new(Some(k)));
-    for (t3, seg) in arrivals {
-        let segs_left = Rc::clone(&segs_left);
-        let k = Rc::clone(&k);
+            nodes[to].rx.serve(t2 + hop, frame)
+        };
+        // The last segment owns the completion. The rx port is FIFO, so
+        // segment arrival times never decrease, and the engine orders
+        // events by (time, seq): the last segment scheduled is the last
+        // one to run. The receiver CPU is FIFO too, so its completion is
+        // the message's completion.
+        let k = if remaining == 0 { k.take() } else { None };
+        // The receiver's CPU work is booked *when each segment arrives*
+        // (an event), never eagerly — otherwise a send issued now would
+        // pre-empt the receiving node's own future transmissions on its
+        // shared CPU.
         eng.schedule_at(t3, move |e| {
             let now = e.now();
             let cpu = &e.world.spec.host.cpu;
             let rx_work = SimDuration::from_micros_f64(cpu.kernel_pkt_rx_us)
                 + SimDuration::for_bytes(seg, cpu.kernel_copy_bps);
             let t4 = e.world.nodes[to].cpu.serve_for(now, rx_work, seg);
-            *segs_left.borrow_mut() -= 1;
-            if *segs_left.borrow() == 0 {
-                // Receiver CPU is FIFO and arrivals are in order, so the
-                // last segment's completion is the message completion.
+            if let Some(k) = k {
                 let wakeup = SimDuration::from_micros_f64(
                     e.world.spec.kernel.rx_extra_us + e.world.spec.host.cpu.syscall_us,
                 );
-                // lint:allow(expect) -- the guard above fires exactly once per message; a second take is an engine bug
-                let k = k.borrow_mut().take().expect("completion fired twice");
                 e.schedule_at(t4 + wakeup, move |e| {
                     e.world.delivered += 1;
                     k(e);

@@ -10,7 +10,7 @@ use std::path::Path;
 use crate::budget::Budget;
 use crate::diag::Diagnostic;
 use crate::hotpath::hotpath_findings;
-use crate::lint::{has_workspace_lints, BUDGET_FILE};
+use crate::lint::{manifest_findings, BUDGET_FILE};
 use crate::locks::lock_findings;
 use crate::model::WorkspaceModel;
 use crate::nondet::nondet_findings;
@@ -18,7 +18,6 @@ use crate::protocol::{protocol_findings, protocol_inventory};
 use crate::races::race_findings;
 use crate::rules::{file_findings, resolve, RawFinding, ANALYZE_BUDGETED_RULES, RULES};
 use crate::units::units_findings;
-use crate::walk::{collect_files, rel_str};
 
 /// Result of analyzing a workspace.
 #[derive(Debug, Default)]
@@ -59,22 +58,7 @@ pub fn analyze_workspace(root: &Path) -> Result<AnalyzeOutcome, String> {
     let w = WorkspaceModel::load(root)?;
     let (mut out, budgeted) = analyze_model(&w);
 
-    // Manifests: every crate inherits the workspace lints table.
-    let manifests = collect_files(root, &|p| p.file_name().is_some_and(|n| n == "Cargo.toml"))
-        .map_err(|e| format!("walking {}: {e}", root.display()))?;
-    for rel in &manifests {
-        let rel_s = rel_str(rel);
-        let text =
-            fs::read_to_string(root.join(rel)).map_err(|e| format!("reading {rel_s}: {e}"))?;
-        if text.contains("[package]") && !has_workspace_lints(&text) {
-            out.diagnostics.push(Diagnostic::new(
-                &rel_s,
-                0,
-                "lints-table",
-                "crate does not declare `[lints] workspace = true`",
-            ));
-        }
-    }
+    out.diagnostics.extend(manifest_findings(root)?);
 
     // Budget: read, enforce, ratchet — over the analyze rule set.
     let budget_text = fs::read_to_string(root.join(BUDGET_FILE)).unwrap_or_default();

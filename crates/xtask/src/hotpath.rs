@@ -29,9 +29,11 @@
 //! resolution stays within one crate — cross-crate edges and closure
 //! bodies scheduled as events are not followed. Qualified calls
 //! (`Type::method(…)`, including `Self::`) resolve exactly to that
-//! type's method; bare and `.method(…)` calls resolve to every
-//! same-crate function sharing the name. Like lock identity, this is
-//! deliberately coarse: the inventory it produces is a ratcheted
+//! type's method; a module-qualified call (`module::f(…)`) binds only
+//! to that module's free `f` when the module is in the same crate, and
+//! to nothing when it is another crate's; bare and `.method(…)` calls
+//! resolve to every same-crate function sharing the name. Like lock
+//! identity, this is deliberately coarse: the inventory it produces is a ratcheted
 //! burn-down list, not a proof.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -177,6 +179,18 @@ fn canon(f: &FnItem) -> String {
     match &f.self_type {
         Some(t) => format!("{t}::{}", f.name),
         None => f.name.clone(),
+    }
+}
+
+/// The file-level module a source file defines: `a/b.rs` and
+/// `a/b/mod.rs` define `b`; crate roots define none.
+fn module_of(rel: &str) -> Option<&str> {
+    let mut parts = rel.rsplit('/');
+    let stem = parts.next()?.strip_suffix(".rs")?;
+    match stem {
+        "lib" | "main" => None,
+        "mod" => parts.next(),
+        _ => Some(stem),
     }
 }
 
@@ -417,12 +431,26 @@ pub fn hotpath_findings(w: &WorkspaceModel) -> Vec<(usize, RawFinding)> {
     let mut defined: BTreeSet<(String, String)> = BTreeSet::new();
     let mut by_bare: BTreeMap<(String, String), BTreeSet<String>> = BTreeMap::new();
     let mut impl_types: BTreeSet<(String, String)> = BTreeSet::new();
+    // `(crate, module)` for every library file-level module, and
+    // `(crate, module, name)` for the in-scope free fns each defines.
+    let modules: BTreeSet<(&str, &str)> = w
+        .files
+        .iter()
+        .filter(|wf| wf.ctx.kind == FileKind::Lib)
+        .filter_map(|wf| Some((wf.ctx.crate_name.as_str(), module_of(&wf.model.rel)?)))
+        .collect();
+    let mut module_fns: BTreeSet<(&str, &str, &str)> = BTreeSet::new();
     for (ii, f) in items.iter().enumerate() {
         if !in_scope(w, f) {
             continue;
         }
         let evs = scan_costs(w, f, &items, &field_copy);
         let c = canon(f);
+        if f.self_type.is_none() {
+            if let Some(m) = module_of(&w.files[f.file].model.rel) {
+                module_fns.insert((&f.krate, m, &f.name));
+            }
+        }
         defined.insert((f.krate.clone(), c.clone()));
         by_bare
             .entry((f.krate.clone(), f.name.clone()))
@@ -444,19 +472,31 @@ pub fn hotpath_findings(w: &WorkspaceModel) -> Vec<(usize, RawFinding)> {
     // Resolve a call to the canonical ids it may reach. A qualified call
     // matching a defined method resolves exactly; a qualified call on a
     // known impl type that matches nothing resolves nowhere (the method
-    // lives outside this crate's scope); anything else falls back to
-    // every same-crate function sharing the bare name.
+    // lives outside this crate's scope). A module head binds to that
+    // module's free fn when the module is this crate's, and to nothing
+    // when it is another crate's. Anything else (traits, foreign types)
+    // falls back to every same-crate function sharing the bare name.
     let resolve_call = |krate: &str, call: &str| -> Vec<String> {
-        if call.contains("::") {
+        let bare = call.rsplit("::").next().unwrap_or(call);
+        if let Some((head, _)) = call.split_once("::") {
             if defined.contains(&(krate.to_string(), call.to_string())) {
                 return vec![call.to_string()];
             }
-            let (head, _) = call.split_once("::").expect("qualified call");
             if impl_types.contains(&(krate.to_string(), head.to_string())) {
                 return Vec::new();
             }
+            if modules.contains(&(krate, head)) {
+                // Free fns are keyed by bare name, so this is the id.
+                return if module_fns.contains(&(krate, head, bare)) {
+                    vec![bare.to_string()]
+                } else {
+                    Vec::new()
+                };
+            }
+            if modules.iter().any(|&(_, m)| m == head) {
+                return Vec::new();
+            }
         }
-        let bare = call.rsplit("::").next().unwrap_or(call);
         by_bare
             .get(&(krate.to_string(), bare.to_string()))
             .map(|s| s.iter().cloned().collect())

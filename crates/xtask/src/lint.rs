@@ -57,25 +57,7 @@ pub fn lint_workspace(root: &Path) -> Result<LintOutcome, String> {
         }
     }
 
-    // Manifests: every crate inherits the workspace lints table.
-    let manifests = collect_files(root, &|p| p.file_name().is_some_and(|n| n == "Cargo.toml"))
-        .map_err(|e| format!("walking {}: {e}", root.display()))?;
-    for rel in &manifests {
-        let rel_s = rel_str(rel);
-        let text =
-            fs::read_to_string(root.join(rel)).map_err(|e| format!("reading {rel_s}: {e}"))?;
-        if !text.contains("[package]") {
-            continue; // virtual manifests have no lint scope
-        }
-        if !has_workspace_lints(&text) {
-            out.diagnostics.push(Diagnostic::new(
-                &rel_s,
-                0,
-                "lints-table",
-                "crate does not declare `[lints] workspace = true`",
-            ));
-        }
-    }
+    out.diagnostics.extend(manifest_findings(root)?);
 
     // Budget: read, enforce, ratchet.
     let budget_text = fs::read_to_string(root.join(BUDGET_FILE)).unwrap_or_default();
@@ -153,6 +135,45 @@ pub fn write_budget(root: &Path, outcome: &LintOutcome) -> Result<(), String> {
     fs::write(root.join(BUDGET_FILE), text).map_err(|e| format!("writing {BUDGET_FILE}: {e}"))
 }
 
+/// The `lints-table` rule over every manifest under `root`: each crate
+/// that can inherit the workspace lints table must.
+pub fn manifest_findings(root: &Path) -> Result<Vec<Diagnostic>, String> {
+    let manifests = collect_files(root, &|p| p.file_name().is_some_and(|n| n == "Cargo.toml"))
+        .map_err(|e| format!("walking {}: {e}", root.display()))?;
+    let mut out = Vec::new();
+    for rel in &manifests {
+        let rel_s = rel_str(rel);
+        let text =
+            fs::read_to_string(root.join(rel)).map_err(|e| format!("reading {rel_s}: {e}"))?;
+        if inherits_lints(&text) && !has_workspace_lints(&text) {
+            out.push(Diagnostic::new(
+                &rel_s,
+                0,
+                "lints-table",
+                "crate does not declare `[lints] workspace = true`",
+            ));
+        }
+    }
+    Ok(out)
+}
+
+/// Does the manifest describe a crate that can inherit
+/// `[workspace.lints]`? A virtual manifest has no crate. A package that
+/// declares its own `[workspace]` is the root of a workspace of its own:
+/// unless that workspace defines a lints table, it has none to inherit.
+fn inherits_lints(manifest: &str) -> bool {
+    let mut package = false;
+    let mut workspace = false;
+    let mut workspace_lints = false;
+    for raw in manifest.lines() {
+        let line = raw.trim();
+        package |= line == "[package]";
+        workspace |= line == "[workspace]";
+        workspace_lints |= line.starts_with("[workspace.lints");
+    }
+    package && (!workspace || workspace_lints)
+}
+
 /// Does a manifest declare `[lints]` with `workspace = true`?
 pub fn has_workspace_lints(manifest: &str) -> bool {
     let mut in_lints = false;
@@ -178,5 +199,45 @@ mod tests {
         ));
         assert!(!has_workspace_lints("[package]\nname=\"x\"\n"));
         assert!(!has_workspace_lints("[lints.rust]\nworkspace = true\n"));
+    }
+
+    #[test]
+    fn only_crates_that_can_inherit_need_the_lints_table() {
+        let root = std::env::temp_dir().join(format!("xtask-lints-table-{}", std::process::id()));
+        let manifests = [
+            // A workspace root package whose workspace defines the lints.
+            (
+                "Cargo.toml",
+                "[workspace]\nmembers = [\"member\"]\n[workspace.lints.rust]\n\
+                 unused_must_use = \"deny\"\n[package]\nname = \"r\"\n",
+            ),
+            ("member/Cargo.toml", "[package]\nname = \"m\"\n"),
+            // A virtual manifest has no crate.
+            ("virtual/Cargo.toml", "[workspace]\nmembers = []\n"),
+            // A standalone package: its own empty workspace.
+            (
+                "standalone/Cargo.toml",
+                "[package]\nname = \"s\"\n\n[workspace]\n",
+            ),
+        ];
+        for (rel, text) in manifests {
+            let path = root.join(rel);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, text).unwrap();
+        }
+        let found = manifest_findings(&root);
+        fs::remove_dir_all(&root).unwrap();
+        let found: Vec<(String, &str)> = found
+            .unwrap()
+            .into_iter()
+            .map(|d| (d.path, d.rule))
+            .collect();
+        assert_eq!(
+            found,
+            vec![
+                ("Cargo.toml".to_string(), "lints-table"),
+                ("member/Cargo.toml".to_string(), "lints-table"),
+            ]
+        );
     }
 }

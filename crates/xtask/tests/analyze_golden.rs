@@ -200,6 +200,29 @@ fn hot_chain_three_deep_golden_reports_once_with_full_path() {
     assert_eq!(got, want);
 }
 
+/// Module-qualified calls: another crate's `fabric::send` resolves to
+/// nothing (not to this crate's `Session::send`), and the same-crate
+/// `wire::encode` resolves only to that module's free fn (not to
+/// `Frame::encode`). Exactly one cost is reachable.
+#[test]
+fn module_qualified_calls_bind_to_their_module_golden() {
+    let entry = fixture("unit/hot_modcall.rs");
+    let wire = fixture("unit/hot_modcall_wire.rs");
+    let fabric = fixture("unit/hot_modcall_fabric.rs");
+    let got = diags(&[
+        ("crates/mpsim/src/hot_modcall.rs", &entry),
+        ("crates/mpsim/src/wire.rs", &wire),
+        ("crates/protosim/src/fabric.rs", &fabric),
+    ]);
+    let want = vec![
+        "crates/mpsim/src/wire.rs:5: hot-cost: hot-path allocation `vec!` \
+                     reachable from `entry` via entry -> encode; hoist it off the hot path \
+                     or annotate `analyze: allow(hot-alloc) -- <reason>`"
+            .to_string(),
+    ];
+    assert_eq!(got, want);
+}
+
 /// A well-formed `analyze: allow(hot-alloc)` with no finding on its
 /// line or the next is stale: marker-hygiene, not silence.
 #[test]
