@@ -273,15 +273,6 @@ impl Comm {
         self.allreduce_with(Algorithm::Tree, data, op)
     }
 
-    /// Allreduce by recursive doubling: log₂ n rounds of pairwise
-    /// exchange, each rank combining as it goes — half the rounds of
-    /// reduce+bcast for latency-bound sizes. Non-power-of-two jobs fold
-    /// the excess ranks into the power-of-two core first (the standard
-    /// construction).
-    pub fn allreduce_rd<T: ReduceElem>(&self, data: &[T], op: ReduceOp) -> Result<Vec<T>> {
-        self.allreduce_with(Algorithm::RecursiveDoubling, data, op)
-    }
-
     /// [`Comm::allreduce`] with an explicit algorithm.
     pub fn allreduce_with<T: ReduceElem>(
         &self,
@@ -308,13 +299,6 @@ impl Comm {
     /// to bottleneck; both produce identical results.
     pub fn allgather(&self, data: &[u8]) -> Result<Vec<Vec<u8>>> {
         self.allgather_with(auto_algorithm(CollOp::Allgather, self.nprocs()), data)
-    }
-
-    /// Ring allgather: n−1 rounds, each rank forwarding the block it just
-    /// received — bandwidth-optimal for large payloads where the
-    /// gather+bcast tree retransmits everything through rank 0.
-    pub fn allgather_ring(&self, data: &[u8]) -> Result<Vec<Vec<u8>>> {
-        self.allgather_with(Algorithm::Ring, data)
     }
 
     /// [`Comm::allgather`] with an explicit algorithm.
@@ -573,12 +557,16 @@ mod tests {
                     .map(|i| (comm.rank() * 31 + i * 7) as f64 * 0.5)
                     .collect();
                 let tree = comm.allreduce(&mine, ReduceOp::Sum).unwrap();
-                let rd = comm.allreduce_rd(&mine, ReduceOp::Sum).unwrap();
+                let rd = comm
+                    .allreduce_with(Algorithm::RecursiveDoubling, &mine, ReduceOp::Sum)
+                    .unwrap();
                 for (a, b) in tree.iter().zip(&rd) {
                     assert!((a - b).abs() < 1e-9, "n={n}: {a} vs {b}");
                 }
                 let tree_max = comm.allreduce(&mine, ReduceOp::Max).unwrap();
-                let rd_max = comm.allreduce_rd(&mine, ReduceOp::Max).unwrap();
+                let rd_max = comm
+                    .allreduce_with(Algorithm::RecursiveDoubling, &mine, ReduceOp::Max)
+                    .unwrap();
                 assert_eq!(tree_max, rd_max, "n={n}");
             })
             .unwrap();
@@ -593,7 +581,9 @@ mod tests {
                 let tree = comm
                     .allgather_with(Algorithm::Tree, mine.as_bytes())
                     .unwrap();
-                let ring = comm.allgather_ring(mine.as_bytes()).unwrap();
+                let ring = comm
+                    .allgather_with(Algorithm::Ring, mine.as_bytes())
+                    .unwrap();
                 assert_eq!(tree, ring, "n={n}");
                 for (r, p) in ring.iter().enumerate() {
                     assert_eq!(p, format!("payload-from-rank-{r}").as_bytes());
@@ -611,7 +601,7 @@ mod tests {
                 let bruck = comm
                     .allgather_with(Algorithm::Dissemination, &mine)
                     .unwrap();
-                let ring = comm.allgather_ring(&mine).unwrap();
+                let ring = comm.allgather_with(Algorithm::Ring, &mine).unwrap();
                 assert_eq!(bruck, ring, "n={n}");
             })
             .unwrap();
@@ -625,9 +615,13 @@ mod tests {
         Universe::run(4, |comm| {
             for round in 0..10i64 {
                 let a = comm.allreduce(&[round], ReduceOp::Sum).unwrap();
-                let b = comm.allreduce_rd(&[round], ReduceOp::Sum).unwrap();
+                let b = comm
+                    .allreduce_with(Algorithm::RecursiveDoubling, &[round], ReduceOp::Sum)
+                    .unwrap();
                 assert_eq!(a, b);
-                let g = comm.allgather_ring(&round.to_le_bytes()).unwrap();
+                let g = comm
+                    .allgather_with(Algorithm::Ring, &round.to_le_bytes())
+                    .unwrap();
                 assert_eq!(g.len(), 4);
                 comm.barrier().unwrap();
             }

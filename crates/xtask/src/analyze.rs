@@ -1,7 +1,8 @@
-//! The workspace analyze pass: everything `lint` checks, plus the
-//! cross-file passes (lock-order, units hygiene, nondeterminism
-//! dataflow, protocol conformance, hot-path cost, guarded-field
-//! consistency), with a machine-readable JSON report for CI.
+//! The workspace analyze pass: the per-file rules, the manifest
+//! `lints-table` check and the cross-file passes (lock-order, units
+//! hygiene, nondeterminism dataflow, protocol conformance, hot-path
+//! cost, guarded-field consistency), ratcheted by the burn-down budget,
+//! with a machine-readable JSON report for CI.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -10,14 +11,17 @@ use std::path::Path;
 use crate::budget::Budget;
 use crate::diag::Diagnostic;
 use crate::hotpath::hotpath_findings;
-use crate::lint::{manifest_findings, BUDGET_FILE};
 use crate::locks::lock_findings;
 use crate::model::WorkspaceModel;
 use crate::nondet::nondet_findings;
 use crate::protocol::{protocol_findings, protocol_inventory};
 use crate::races::race_findings;
-use crate::rules::{file_findings, resolve, RawFinding, ANALYZE_BUDGETED_RULES, RULES};
+use crate::rules::{file_findings, resolve, RawFinding, BUDGETED_RULES, RULES};
 use crate::units::units_findings;
+use crate::walk::{collect_files, rel_str};
+
+/// Name of the burn-down budget file at the workspace root.
+pub const BUDGET_FILE: &str = "lint-budget.toml";
 
 /// Result of analyzing a workspace.
 #[derive(Debug, Default)]
@@ -141,8 +145,7 @@ fn analyze_model(w: &WorkspaceModel) -> (AnalyzeOutcome, Vec<(String, Diagnostic
         findings.extend(nondet_findings(&wf.model, &wf.ctx));
         findings.append(&mut per_file[fi]);
 
-        // Analyze resolves *every* annotation: none are stale-exempt.
-        let report = resolve(&wf.model, findings, ANALYZE_BUDGETED_RULES, &[]);
+        let report = resolve(&wf.model, findings, BUDGETED_RULES);
         out.diagnostics.extend(report.diagnostics);
         for d in report.budgeted {
             *out.budget_counts
@@ -158,6 +161,59 @@ fn analyze_model(w: &WorkspaceModel) -> (AnalyzeOutcome, Vec<(String, Diagnostic
 pub fn write_budget(root: &Path, outcome: &AnalyzeOutcome) -> Result<(), String> {
     let text = Budget::render(&outcome.budget_counts);
     fs::write(root.join(BUDGET_FILE), text).map_err(|e| format!("writing {BUDGET_FILE}: {e}"))
+}
+
+/// The `lints-table` rule over every manifest under `root`: each crate
+/// that can inherit the workspace lints table must.
+pub fn manifest_findings(root: &Path) -> Result<Vec<Diagnostic>, String> {
+    let manifests = collect_files(root, &|p| p.file_name().is_some_and(|n| n == "Cargo.toml"))
+        .map_err(|e| format!("walking {}: {e}", root.display()))?;
+    let mut out = Vec::new();
+    for rel in &manifests {
+        let rel_s = rel_str(rel);
+        let text =
+            fs::read_to_string(root.join(rel)).map_err(|e| format!("reading {rel_s}: {e}"))?;
+        if inherits_lints(&text) && !has_workspace_lints(&text) {
+            out.push(Diagnostic::new(
+                &rel_s,
+                0,
+                "lints-table",
+                "crate does not declare `[lints] workspace = true`",
+            ));
+        }
+    }
+    Ok(out)
+}
+
+/// Does the manifest describe a crate that can inherit
+/// `[workspace.lints]`? A virtual manifest has no crate. A package that
+/// declares its own `[workspace]` is the root of a workspace of its own:
+/// unless that workspace defines a lints table, it has none to inherit.
+fn inherits_lints(manifest: &str) -> bool {
+    let mut package = false;
+    let mut workspace = false;
+    let mut workspace_lints = false;
+    for raw in manifest.lines() {
+        let line = raw.trim();
+        package |= line == "[package]";
+        workspace |= line == "[workspace]";
+        workspace_lints |= line.starts_with("[workspace.lints");
+    }
+    package && (!workspace || workspace_lints)
+}
+
+/// Does a manifest declare `[lints]` with `workspace = true`?
+pub fn has_workspace_lints(manifest: &str) -> bool {
+    let mut in_lints = false;
+    for raw in manifest.lines() {
+        let line = raw.trim();
+        if line.starts_with('[') {
+            in_lints = line == "[lints]";
+        } else if in_lints && line.replace(' ', "") == "workspace=true" {
+            return true;
+        }
+    }
+    false
 }
 
 /// Render the machine-readable JSON report consumed by CI.
@@ -292,5 +348,54 @@ mod tests {
         assert_eq!(out.files_checked, 1);
         assert_eq!(out.diagnostics.len(), 1);
         assert_eq!(out.diagnostics[0].rule, "units");
+    }
+
+    #[test]
+    fn manifest_lints_detection() {
+        assert!(has_workspace_lints(
+            "[package]\nname=\"x\"\n[lints]\nworkspace = true\n"
+        ));
+        assert!(!has_workspace_lints("[package]\nname=\"x\"\n"));
+        assert!(!has_workspace_lints("[lints.rust]\nworkspace = true\n"));
+    }
+
+    #[test]
+    fn only_crates_that_can_inherit_need_the_lints_table() {
+        let root = std::env::temp_dir().join(format!("xtask-lints-table-{}", std::process::id()));
+        let manifests = [
+            // A workspace root package whose workspace defines the lints.
+            (
+                "Cargo.toml",
+                "[workspace]\nmembers = [\"member\"]\n[workspace.lints.rust]\n\
+                 unused_must_use = \"deny\"\n[package]\nname = \"r\"\n",
+            ),
+            ("member/Cargo.toml", "[package]\nname = \"m\"\n"),
+            // A virtual manifest has no crate.
+            ("virtual/Cargo.toml", "[workspace]\nmembers = []\n"),
+            // A standalone package: its own empty workspace.
+            (
+                "standalone/Cargo.toml",
+                "[package]\nname = \"s\"\n\n[workspace]\n",
+            ),
+        ];
+        for (rel, text) in manifests {
+            let path = root.join(rel);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, text).unwrap();
+        }
+        let found = manifest_findings(&root);
+        fs::remove_dir_all(&root).unwrap();
+        let found: Vec<(String, &str)> = found
+            .unwrap()
+            .into_iter()
+            .map(|d| (d.path, d.rule))
+            .collect();
+        assert_eq!(
+            found,
+            vec![
+                ("Cargo.toml".to_string(), "lints-table"),
+                ("member/Cargo.toml".to_string(), "lints-table"),
+            ]
+        );
     }
 }

@@ -1,21 +1,23 @@
 //! The burn-down budget file (`lint-budget.toml`).
 //!
-//! Budget entries cap the number of *un-annotated* panic-hygiene
-//! violations per `(crate, rule)`. The linter enforces a ratchet: a
-//! count above its budget is a violation, and a count *below* its
-//! budget is also an error telling you to lower the number — so the
-//! checked-in budget can only go down over time.
+//! Budget entries cap the number of *un-annotated* violations of the
+//! budgeted rules ([`BUDGETED_RULES`]) per `(crate, rule)`. The analyzer
+//! enforces a ratchet: a count above its budget is a violation, and a
+//! count *below* its budget is also an error telling you to lower the
+//! number — so the checked-in budget can only go down over time.
 //!
 //! Format (a deliberately tiny TOML subset — `#` comments and
 //! `"crate/rule" = N` pairs):
 //!
 //! ```toml
-//! # xtask lint burn-down budget
+//! # xtask analyze burn-down budget
 //! "netpipe/unwrap" = 12
-//! "protosim/expect" = 0
+//! "mpsim/hot-cost" = 8
 //! ```
 
 use std::collections::BTreeMap;
+
+use crate::rules::BUDGETED_RULES;
 
 /// Parsed budget: `(crate, rule) -> allowed un-annotated count`.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -25,7 +27,7 @@ pub struct Budget {
 
 impl Budget {
     /// Parse the budget file text. Unknown or malformed lines are
-    /// errors — the budget is part of the lint gate.
+    /// errors — the budget is part of the analyze gate.
     pub fn parse(text: &str) -> Result<Budget, String> {
         let mut entries = BTreeMap::new();
         for (i, raw) in text.lines().enumerate() {
@@ -71,11 +73,13 @@ impl Budget {
 
     /// Render counts as a fresh budget file.
     pub fn render(counts: &BTreeMap<(String, String), usize>) -> String {
-        let mut out = String::from(
-            "# xtask lint burn-down budget: un-annotated panic-hygiene violations\n\
-             # per crate/rule. The linter fails if a count rises above its entry\n\
-             # AND if it falls below (ratchet) — lower the number as you clean up.\n\
-             # Regenerate with: cargo run -p xtask -- lint --write-budget\n",
+        let mut out = format!(
+            "# xtask analyze burn-down budget: un-annotated violations per\n\
+             # crate/rule of the budgeted rules ({}).\n\
+             # The analyzer fails if a count rises above its entry AND if it\n\
+             # falls below (ratchet) — lower the number as you clean up.\n\
+             # Regenerate with: cargo run -p xtask -- analyze --write-budget\n",
+            BUDGETED_RULES.join(", ")
         );
         for ((krate, rule), n) in counts {
             if *n > 0 {

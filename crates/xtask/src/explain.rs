@@ -4,51 +4,50 @@
 pub fn explain(rule: &str) -> Option<&'static str> {
     Some(match rule {
         "wall-clock" => {
-            "wall-clock (lint, determinism family)\n\
+            "wall-clock (per-file, determinism family)\n\
              scope: library code of sim crates\n\n\
              Reading std::time::Instant or SystemTime makes a simulated result\n\
              depend on the host's clock, so two runs of the same scenario stop\n\
              being bit-identical. Use the simulated clock (Engine::now) instead.\n\
-             Real-mode crates are governed by the analyze-only rule\n\
-             nondet-wall-clock."
+             Real-mode crates are governed by the rule nondet-wall-clock."
         }
         "sleep" => {
-            "sleep (lint, determinism family)\n\
+            "sleep (per-file, determinism family)\n\
              scope: library code of sim crates\n\n\
              thread::sleep stalls the host thread, not simulated time. Schedule\n\
              an event at `now + delta` on the engine instead."
         }
         "ambient-rng" => {
-            "ambient-rng (lint, determinism family)\n\
+            "ambient-rng (per-file, determinism family)\n\
              scope: library code of sim crates\n\n\
              thread_rng / rand::random / from_entropy seed from the OS, so runs\n\
              are not reproducible. Route all randomness through SimRng, which is\n\
              seeded explicitly by the scenario."
         }
         "hash-container" => {
-            "hash-container (lint, determinism family)\n\
+            "hash-container (per-file, determinism family)\n\
              scope: library code of sim crates\n\n\
              HashMap/HashSet iteration order varies run to run (SipHash keys are\n\
              randomized). Use BTreeMap/BTreeSet, or sort before iterating. In\n\
-             non-sim crates the weaker analyze-only rule nondet-hash-iter flags\n\
+             non-sim crates the weaker rule nondet-hash-iter flags\n\
              only the iteration, not the type."
         }
         "trace-hygiene" => {
-            "trace-hygiene (lint, determinism family)\n\
+            "trace-hygiene (per-file, determinism family)\n\
              scope: library code of sim crates except tracelab\n\n\
              Sim crates must stamp trace records with SimTime via\n\
              tracelab::Tracer. The wall-clock tracing API (WallTracer, WallStamp,\n\
              span_wall, instant_wall, now_wall) is for real runs only."
         }
         "blocking-hygiene" => {
-            "blocking-hygiene (lint)\n\
+            "blocking-hygiene (per-file)\n\
              scope: library code of real-mode crates (faultlab, mplite, netpipe)\n\n\
              A deadline-free read_exact/write_all/accept hangs the whole sweep\n\
              when a peer dies. Use the bounded faultlab::io wrappers\n\
              (read_exact_deadline, write_all_deadline, accept_deadline)."
         }
         "frame-hygiene" => {
-            "frame-hygiene (lint)\n\
+            "frame-hygiene (per-file)\n\
              scope: library code of real-mode crates, minus the codec owners\n\
              (mplite::message, mplite::frame)\n\n\
              The raw v1 header codec (encode_header/decode_header) carries no\n\
@@ -59,7 +58,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              side — so the CRC and the pre-allocation cap always apply."
         }
         "unwrap" | "expect" | "panic" => {
-            "unwrap / expect / panic (lint, panic-hygiene family; budgeted)\n\
+            "unwrap / expect / panic (per-file, panic-hygiene family; budgeted)\n\
              scope: library code of library crates\n\n\
              Library code must propagate errors, not abort the process: a panic\n\
              inside mplite tears down a rank mid-collective. Counts are governed\n\
@@ -67,44 +66,44 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              few deliberate sites: // lint:allow(panic) -- <reason>."
         }
         "print" => {
-            "print (lint)\n\
+            "print (per-file)\n\
              scope: library code, except reporting crates (bench, xtask)\n\n\
              Libraries return strings or take a writer; only binaries and the\n\
              reporting crates print."
         }
         "dbg" => {
-            "dbg (lint)\n\
+            "dbg (per-file)\n\
              scope: all non-test code\n\n\
              dbg! is a debugging leftover; remove it before committing."
         }
         "lints-table" => {
-            "lints-table (lint)\n\
+            "lints-table (per-file)\n\
              scope: every crate manifest\n\n\
              Each [package] manifest must declare `[lints] workspace = true` so\n\
              rustc/clippy lint policy is set once, at the workspace root."
         }
         "bad-allow" => {
-            "bad-allow (lint)\n\n\
+            "bad-allow (per-file)\n\n\
              An annotation must carry a reason:\n\
              // lint:allow(<rule>) -- <reason>\n\
              The reason is the reviewable artifact; an allow without one is\n\
              rejected."
         }
         "stale-allow" => {
-            "stale-allow (lint)\n\n\
+            "stale-allow (per-file)\n\n\
              A lint:allow annotation whose violation no longer exists on that\n\
              line (or the line below) must be removed, or it will silently mask\n\
              a future regression."
         }
         "budget" => {
-            "budget (lint)\n\n\
-             lint-budget.toml caps un-annotated unwrap/expect/panic (and, under\n\
-             analyze, units) counts per crate/rule. Counts above an entry fail;\n\
+            "budget (per-file)\n\n\
+             lint-budget.toml caps un-annotated unwrap/expect/panic, units and\n\
+             hot-cost counts per crate/rule. Counts above an entry fail;\n\
              counts below fail too (ratchet) so the entry is lowered as debt is\n\
              paid. Regenerate with --write-budget."
         }
         "lock-order" => {
-            "lock-order (analyze, cross-file)\n\
+            "lock-order (cross-file)\n\
              scope: library code, workspace-wide\n\n\
              The analyzer collects every `.lock()` site, tracks held guards\n\
              through function bodies (scope ends, drop(), statement-end for\n\
@@ -117,7 +116,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              name qualified by crate — `self.state.lock()` is `mplite::state`."
         }
         "lock-across-blocking" => {
-            "lock-across-blocking (analyze, cross-file)\n\
+            "lock-across-blocking (cross-file)\n\
              scope: library code, workspace-wide\n\n\
              Holding a mutex guard across wait / read_exact_deadline /\n\
              write_all_deadline / accept_deadline stalls every thread contending\n\
@@ -127,7 +126,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              into the wait — is recognized and exempt."
         }
         "units" => {
-            "units (analyze; budgeted)\n\
+            "units (per-file; budgeted)\n\
              scope: library code outside simcore::{time,units}\n\n\
              Two shapes are flagged: (1) a magic conversion constant (1e6, 8.0,\n\
              125_000.0, 1_000_000, ...) directly multiplied or divided —\n\
@@ -138,7 +137,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              use SimDuration::for_bytes / units::bytes_at_rate instead."
         }
         "nondet-wall-clock" => {
-            "nondet-wall-clock (analyze)\n\
+            "nondet-wall-clock (per-file)\n\
              scope: library code of real-mode crates, minus the clock owners\n\
              (netpipe::real_tcp, netpipe::mplite_driver, faultlab::io)\n\n\
              Real-mode code outside the driver/deadline layer must take\n\
@@ -146,14 +145,14 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              replay and fault sweeps stay reproducible."
         }
         "nondet-hash-iter" => {
-            "nondet-hash-iter (analyze)\n\
+            "nondet-hash-iter (per-file)\n\
              scope: library code of non-sim crates\n\n\
              Iterating a HashMap/HashSet binding leaks SipHash ordering into\n\
              results and reports. Keyed access is fine; iteration needs\n\
              BTreeMap/BTreeSet or an explicit sort."
         }
         "nondet-float-reduction" => {
-            "nondet-float-reduction (analyze)\n\
+            "nondet-float-reduction (per-file)\n\
              scope: library code of sim crates\n\n\
              Float addition is not associative: `.sum()` / `.fold(..)` over f64\n\
              makes accumulation order part of the result. Use\n\
@@ -162,7 +161,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              (f64::max / f64::min) are exempt."
         }
         "protocol-transition" => {
-            "protocol-transition (analyze, cross-file)\n\
+            "protocol-transition (cross-file)\n\
              scope: library code, workspace-wide\n\n\
              A match arm over a protocol's runtime enum (declared via\n\
              protospec::protocol!) names a next state the spec does not\n\
@@ -173,7 +172,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              spec — or fix the arm."
         }
         "protocol-undeclared" => {
-            "protocol-undeclared (analyze, cross-file)\n\
+            "protocol-undeclared (cross-file)\n\
              scope: library code, workspace-wide\n\n\
              A state name that does not exist in the protocol! table: a\n\
              transition endpoint or terminal in the spec itself, or an\n\
@@ -182,7 +181,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              initial(), step()) never match."
         }
         "protocol-unreachable" => {
-            "protocol-unreachable (analyze, spec-level)\n\
+            "protocol-unreachable (spec-level)\n\
              scope: every protocol! invocation\n\n\
              A declared state with no transition path from the initial state\n\
              (the first declared state) is dead weight: the typestate API can\n\
@@ -190,7 +189,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              the missing transitions."
         }
         "protocol-terminal" => {
-            "protocol-terminal (analyze, spec-level)\n\
+            "protocol-terminal (spec-level)\n\
              scope: every protocol! invocation\n\n\
              Terminal states are where a machine may rest (quiescence —\n\
              outgoing transitions are allowed, e.g. a rendezvous sender's\n\
@@ -199,7 +198,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              machine can still move but can never finish."
         }
         "protocol-duality" => {
-            "protocol-duality (analyze, cross-file)\n\
+            "protocol-duality (cross-file)\n\
              scope: every protocol! invocation declaring a dual\n\n\
              Dual roles must mirror message sets exactly: every event one\n\
              side sends (ev!) the other receives (ev?) and vice versa;\n\
@@ -209,7 +208,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              — the check is cross-file."
         }
         "hot-cost" => {
-            "hot-cost (analyze, cross-file; budgeted)\n\
+            "hot-cost (cross-file; budgeted)\n\
              scope: library code, workspace-wide (markers seeded in the sim\n\
              dispatch, wire, matching, framing, and collective-executor crates)\n\n\
              Functions marked `// analyze: hot` are per-message / per-event\n\
@@ -224,7 +223,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              // analyze: allow(hot-alloc) -- <reason>."
         }
         "race-guarded-field" => {
-            "race-guarded-field (analyze, cross-file)\n\
+            "race-guarded-field (cross-file)\n\
              scope: library code, workspace-wide\n\n\
              A struct field accessed both under a mutex guard and bare, from\n\
              code reachable from a thread root (thread::spawn, thread::scope,\n\
@@ -239,7 +238,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              // lint:allow(race-guarded-field) -- <reason>."
         }
         "marker-hygiene" => {
-            "marker-hygiene (analyze)\n\
+            "marker-hygiene (cross-file)\n\
              scope: library code, workspace-wide\n\n\
              The `analyze:` marker grammar is itself checked, so markers\n\
              cannot silently rot: a hot marker must attach to a function (the\n\

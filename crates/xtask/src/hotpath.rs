@@ -12,9 +12,9 @@
 //! * Every function body is summarized into its direct **cost events**:
 //!   heap allocations (`Box::new`, `Vec::new`, `vec!`, `.to_vec()`,
 //!   `format!`, `String::from`, and `.clone()` on receivers not provably
-//!   `Copy`), lock acquisitions (`.lock()`, same identity as the
-//!   lock-order pass), and blocking primitives (the `locks::BLOCKING`
-//!   table).
+//!   `Copy`), lock acquisitions (`.lock()`, as the shared body walk in
+//!   [`crate::body`] identifies them), and blocking primitives (the
+//!   `locks::BLOCKING` table).
 //! * Summaries propagate over the same-crate call-by-name graph (the
 //!   same machinery the lock-order pass uses). Every cost site reachable
 //!   from a hot entry is reported once, with the shortest call chain
@@ -38,15 +38,12 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use crate::body::{governs_file, in_scope, Site, Walk};
 use crate::context::FileKind;
 use crate::lex::TokKind;
-use crate::locks::{BLOCKING, NON_CALL, PRIMITIVE_FILES};
-use crate::model::{copy_types, field_decls, fn_items, FnItem, WorkspaceModel};
+use crate::locks::BLOCKING;
+use crate::model::{copy_types, field_decls, FnItem, WorkspaceModel};
 use crate::rules::RawFinding;
-
-/// Crates the pass never governs: the analyzer documents the marker
-/// grammar in its own prose comments.
-const EXEMPT_CRATES: &[&str] = &["xtask"];
 
 /// A hot marker attaches to the first function opening within this many
 /// lines below it (room for doc comments and attributes).
@@ -194,45 +191,23 @@ fn module_of(rel: &str) -> Option<&str> {
     }
 }
 
-/// Is this item in the pass's scope?
-fn in_scope(w: &WorkspaceModel, f: &FnItem) -> bool {
-    let wf = &w.files[f.file];
-    wf.ctx.kind == FileKind::Lib
-        && !EXEMPT_CRATES.contains(&wf.ctx.crate_name.as_str())
-        && !PRIMITIVE_FILES.contains(&wf.model.rel.as_str())
-        && !wf.model.masked(f.line)
-}
-
 /// Scan one function body into its cost/call event stream.
-fn scan_costs(
-    w: &WorkspaceModel,
-    f: &FnItem,
-    items: &[FnItem],
-    field_copy: &BTreeMap<&str, bool>,
-) -> Vec<CEv> {
-    let wf = &w.files[f.file];
-    let model = &wf.model;
-    let toks = &model.toks;
-    let (open, close) = f.body;
-
-    let nested: Vec<(usize, usize)> = items
-        .iter()
-        .filter(|g| g.file == f.file && g.body.0 > open && g.body.1 < close)
-        .map(|g| g.body)
-        .collect();
-
+fn scan_costs(w: &WorkspaceModel, f: &FnItem, field_copy: &BTreeMap<&str, bool>) -> Vec<CEv> {
     let mut evs = Vec::new();
-    let mut i = open + 1;
-    while i < close {
-        if let Some(&(_, end)) = nested.iter().find(|(s, _)| *s == i) {
-            i = end + 1;
-            continue;
-        }
+    let mut walk = Walk::new(w, f);
+    while let Some(site) = walk.next_site() {
+        let i = match site {
+            Site::Lock { id, line } => {
+                evs.push(CEv::Cost {
+                    desc: format!("lock acquisition of `{id}`"),
+                    line,
+                });
+                continue;
+            }
+            Site::Ident(i) => i,
+        };
+        let toks = walk.toks;
         let t = &toks[i];
-        if t.kind != TokKind::Ident || model.masked(t.line) {
-            i += 1;
-            continue;
-        }
         let prev_dot = i > 0 && toks[i - 1].is_punct(".");
         let next_open = toks.get(i + 1).is_some_and(|n| n.is_punct("("));
         let next_bang = toks.get(i + 1).is_some_and(|n| n.is_punct("!"));
@@ -250,7 +225,7 @@ fn scan_costs(
                         desc: format!("allocation `{}::{}`", t.text, method.text),
                         line: t.line,
                     });
-                    i += 3;
+                    walk.skip(2);
                     continue;
                 }
             }
@@ -262,28 +237,7 @@ fn scan_costs(
                 desc: format!("allocation `{}!`", t.text),
                 line: t.line,
             });
-            i += 2;
-            continue;
-        }
-
-        // Lock acquisition: `<expr>.lock()`, same identity as locks.rs.
-        if t.text == "lock"
-            && prev_dot
-            && next_open
-            && toks.get(i + 2).is_some_and(|n| n.is_punct(")"))
-        {
-            let base = match toks.get(i.wrapping_sub(2)) {
-                Some(p) if p.kind == TokKind::Ident && p.text != "self" => p.text.clone(),
-                Some(p) if p.is_ident("self") => {
-                    f.self_type.clone().unwrap_or_else(|| f.name.clone())
-                }
-                _ => "<anon>".to_string(),
-            };
-            evs.push(CEv::Cost {
-                desc: format!("lock acquisition of `{}::{base}`", f.krate),
-                line: t.line,
-            });
-            i += 3;
+            walk.skip(1);
             continue;
         }
 
@@ -296,7 +250,6 @@ fn scan_costs(
                     if r.kind == TokKind::Ident
                         && field_copy.get(r.text.as_str()).copied().unwrap_or(false)
                     {
-                        i += 1;
                         continue;
                     }
                 }
@@ -305,7 +258,6 @@ fn scan_costs(
                 desc: format!("allocation `.{}()`", t.text),
                 line: t.line,
             });
-            i += 1;
             continue;
         }
 
@@ -315,19 +267,13 @@ fn scan_costs(
                 desc: format!("blocking call `{}`", t.text),
                 line: t.line,
             });
-            i += 1;
             continue;
         }
 
-        // Calls, bare or qualified (self-named delegation skipped, as in
-        // locks). A `Head::name(` path call keeps its qualifier so it
-        // can resolve exactly; `Self::` maps to the enclosing impl type.
-        if next_open
-            && !NON_CALL.contains(&t.text.as_str())
-            && t.text != "lock"
-            && t.text != f.name
-            && !(i > 0 && toks[i - 1].is_ident("fn"))
-        {
+        // Calls, bare or qualified. A `Head::name(` path call keeps its
+        // qualifier so it can resolve exactly; `Self::` maps to the
+        // enclosing impl type.
+        if walk.is_call(i) {
             let name = if i >= 2 && toks[i - 1].is_punct("::") && toks[i - 2].kind == TokKind::Ident
             {
                 let head = if toks[i - 2].text == "Self" {
@@ -344,14 +290,13 @@ fn scan_costs(
             };
             evs.push(CEv::Call { name });
         }
-        i += 1;
     }
     evs
 }
 
 /// Run the hot-path cost pass; findings are keyed by file index.
 pub fn hotpath_findings(w: &WorkspaceModel) -> Vec<(usize, RawFinding)> {
-    let items = fn_items(w);
+    let items = &w.fns;
     let copy = copy_types(w);
     let fields = field_decls(w);
     // Field name -> is every declaration of that name a `Copy` type?
@@ -370,10 +315,7 @@ pub fn hotpath_findings(w: &WorkspaceModel) -> Vec<(usize, RawFinding)> {
     let mut hot_items: BTreeSet<usize> = BTreeSet::new();
     let mut allows_per_file: BTreeMap<usize, Vec<HotAllow>> = BTreeMap::new();
     for (fi, wf) in w.files.iter().enumerate() {
-        if wf.ctx.kind != FileKind::Lib
-            || EXEMPT_CRATES.contains(&wf.ctx.crate_name.as_str())
-            || PRIMITIVE_FILES.contains(&wf.model.rel.as_str())
-        {
+        if !governs_file(w, fi) {
             continue;
         }
         let markers = parse_markers(&wf.model.line_comment);
@@ -444,7 +386,7 @@ pub fn hotpath_findings(w: &WorkspaceModel) -> Vec<(usize, RawFinding)> {
         if !in_scope(w, f) {
             continue;
         }
-        let evs = scan_costs(w, f, &items, &field_copy);
+        let evs = scan_costs(w, f, &field_copy);
         let c = canon(f);
         if f.self_type.is_none() {
             if let Some(m) = module_of(&w.files[f.file].model.rel) {
@@ -763,6 +705,17 @@ mod tests {
         let f = findings(&[("crates/mplite/src/hp.rs", hit)]);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].3.contains("via entry -> Costly::new"), "{}", f[0].3);
+    }
+
+    #[test]
+    fn allocation_constructor_is_a_cost_not_a_call() {
+        // `Vec::new(` must not also resolve as a call to every `new`.
+        let src = "pub struct Costly { v: Vec<u8> }\nimpl Costly {\n    \
+                   pub fn new() -> Costly {\n        Costly { v: vec![0] }\n    }\n}\n\
+                   // analyze: hot\npub fn entry() -> Vec<u8> {\n    Vec::new()\n}\n";
+        let f = findings(&[("crates/mplite/src/hp.rs", src)]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].3.contains("allocation `Vec::new`"), "{}", f[0].3);
     }
 
     #[test]

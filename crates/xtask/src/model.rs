@@ -4,8 +4,9 @@
 //! state the rules need: the `#[cfg(test)]` mask, brace depth, the
 //! comment channel, and the parsed `lint:allow` annotations.
 //! [`WorkspaceModel`] holds every classified file plus the cross-file
-//! item index (free functions and methods with body token ranges) that
-//! the lock-order pass walks for call edges.
+//! item index (free functions and methods with body token ranges),
+//! built once per run, whose bodies the lock-order, guarded-field and
+//! hot-path cost passes walk.
 
 use std::fs;
 use std::path::Path;
@@ -180,6 +181,8 @@ pub struct WFile {
 pub struct WorkspaceModel {
     /// Files in deterministic (sorted-path) order.
     pub files: Vec<WFile>,
+    /// Every function item of `files`, in file and token order.
+    pub fns: Vec<FnItem>,
 }
 
 impl WorkspaceModel {
@@ -187,7 +190,7 @@ impl WorkspaceModel {
     pub fn load(root: &Path) -> Result<WorkspaceModel, String> {
         let files = collect_files(root, &|p| p.extension().is_some_and(|e| e == "rs"))
             .map_err(|e| format!("walking {}: {e}", root.display()))?;
-        let mut out = WorkspaceModel::default();
+        let mut out = Vec::new();
         for rel in &files {
             let rel_s = rel_str(rel);
             let Some(ctx) = classify(&rel_s) else {
@@ -195,26 +198,31 @@ impl WorkspaceModel {
             };
             let source =
                 fs::read_to_string(root.join(rel)).map_err(|e| format!("reading {rel_s}: {e}"))?;
-            out.files.push(WFile {
+            out.push(WFile {
                 ctx,
                 model: FileModel::parse(&rel_s, &source),
             });
         }
-        Ok(out)
+        Ok(WorkspaceModel::new(out))
     }
 
     /// Build a model from in-memory `(path, source)` pairs (tests and
     /// fixture analysis).
     pub fn from_sources(files: &[(&str, &str)]) -> WorkspaceModel {
-        let mut out = WorkspaceModel::default();
+        let mut out = Vec::new();
         for (rel, src) in files {
             let Some(ctx) = classify(rel) else { continue };
-            out.files.push(WFile {
+            out.push(WFile {
                 ctx,
                 model: FileModel::parse(rel, src),
             });
         }
-        out
+        WorkspaceModel::new(out)
+    }
+
+    fn new(files: Vec<WFile>) -> WorkspaceModel {
+        let fns = fn_items(&files);
+        WorkspaceModel { files, fns }
     }
 }
 
@@ -236,10 +244,10 @@ pub struct FnItem {
     pub self_type: Option<String>,
 }
 
-/// Extract every function item in the workspace.
-pub fn fn_items(w: &WorkspaceModel) -> Vec<FnItem> {
+/// Extract every function item of `files`.
+fn fn_items(files: &[WFile]) -> Vec<FnItem> {
     let mut out = Vec::new();
-    for (fi, wf) in w.files.iter().enumerate() {
+    for (fi, wf) in files.iter().enumerate() {
         let toks = &wf.model.toks;
         // Track enclosing `impl` blocks: (brace depth inside, type name).
         let mut impls: Vec<(u32, String)> = Vec::new();
@@ -546,8 +554,8 @@ mod tests {
              fn free(x: u32) -> u32 { x }\n\
              trait T { fn decl(&self); }\n",
         )]);
-        let items = fn_items(&w);
-        let names: Vec<(&str, Option<&str>)> = items
+        let names: Vec<(&str, Option<&str>)> = w
+            .fns
             .iter()
             .map(|f| (f.name.as_str(), f.self_type.as_deref()))
             .collect();

@@ -5,10 +5,11 @@
 //! workspace's hand-rolled safe-Rust sync layer it cannot be UB, but it
 //! is exactly the inconsistency that turns into lost wakeups and stale
 //! reads once the code runs on real threads. This pass classifies every
-//! struct-field access in library code as **guarded** (a tracked guard
-//! from the lock-order pass is live at the access point, or the access
-//! goes through a guard binding itself) or **bare**, and reports fields
-//! that are accessed both ways from code reachable from a thread root
+//! struct-field access in library code as **guarded** (a guard tracked
+//! by the shared body walk, [`crate::body`], is live at the access
+//! point, or the access goes through a guard binding itself) or
+//! **bare**, and reports fields that are accessed both ways from code
+//! reachable from a thread root
 //! (`thread::spawn`, `thread::scope`, or a `.spawn(…)` builder) under
 //! the zero-tolerance `race-guarded-field` rule, naming both sites.
 //!
@@ -27,15 +28,10 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::context::FileKind;
+use crate::body::{in_scope, Site, Walk};
 use crate::lex::{Tok, TokKind};
-use crate::locks::{NON_CALL, PRIMITIVE_FILES};
-use crate::model::{field_decls, fn_items, FnItem, WorkspaceModel};
+use crate::model::{field_decls, FnItem, WorkspaceModel};
 use crate::rules::RawFinding;
-
-/// Crates the pass never governs (the analyzer's own prose would trip
-/// it; shared rationale with the hot-path pass).
-const EXEMPT_CRATES: &[&str] = &["xtask"];
 
 /// Methods that make a field access a synchronization operation rather
 /// than a data access: the primitive serializes internally.
@@ -84,24 +80,6 @@ struct Access {
     guarded: bool,
     /// Lock id live at a guarded access (for the message).
     lock: Option<String>,
-}
-
-/// A live guard during the body scan (subset of the lock-order pass's
-/// tracking: identity + binding + scope).
-struct Guard {
-    id: String,
-    name: Option<String>,
-    depth: u32,
-    nest: u32,
-}
-
-/// Is this item in the pass's scope?
-fn in_scope(w: &WorkspaceModel, f: &FnItem) -> bool {
-    let wf = &w.files[f.file];
-    wf.ctx.kind == FileKind::Lib
-        && !EXEMPT_CRATES.contains(&wf.ctx.crate_name.as_str())
-        && !PRIMITIVE_FILES.contains(&wf.model.rel.as_str())
-        && !wf.model.masked(f.line)
 }
 
 /// Parse the receiver kind from the function header. Walks back from
@@ -165,197 +143,83 @@ fn receiver_kind(toks: &[Tok], f: &FnItem) -> Receiver {
 fn scan_fn(
     w: &WorkspaceModel,
     f: &FnItem,
-    items: &[FnItem],
     fields: &BTreeSet<(String, String)>,
     accesses: &mut BTreeMap<(String, String), Vec<Access>>,
     calls: &mut BTreeSet<String>,
 ) -> bool {
-    let wf = &w.files[f.file];
-    let model = &wf.model;
-    let toks = &model.toks;
-    let (open, close) = f.body;
+    let toks = &w.files[f.file].model.toks;
     let recv = receiver_kind(toks, f);
-
-    let nested: Vec<(usize, usize)> = items
-        .iter()
-        .filter(|g| g.file == f.file && g.body.0 > open && g.body.1 < close)
-        .map(|g| g.body)
-        .collect();
-
     let mut is_root = false;
-    let mut held: Vec<Guard> = Vec::new();
-    let mut stmt_start = open + 1;
-    let mut i = open + 1;
-    while i < close {
-        if let Some(&(_, end)) = nested.iter().find(|(s, _)| *s == i) {
-            i = end + 1;
-            stmt_start = i;
-            continue;
-        }
+    let mut walk = Walk::new(w, f);
+    while let Some(site) = walk.next_site() {
+        let Site::Ident(i) = site else { continue };
         let t = &toks[i];
+        let prev_dot = i > 0 && toks[i - 1].is_punct(".");
+        let next_open = toks.get(i + 1).is_some_and(|n| n.is_punct("("));
 
-        if t.kind == TokKind::Close && t.text == "}" {
-            held.retain(|g| t.depth >= g.depth);
+        // Thread roots.
+        if (t.text == "spawn" || t.text == "scope")
+            && i >= 2
+            && toks[i - 1].is_punct("::")
+            && toks[i - 2].is_ident("thread")
+        {
+            is_root = true;
         }
-        if t.is_punct(";") {
-            held.retain(|g| g.name.is_some() || t.nest > g.nest);
-        }
-        if t.is_ident("fn") {
-            let mut j = i + 1;
-            while j < close
-                && !(toks[j].is_punct(";")
-                    || (toks[j].kind == TokKind::Open && toks[j].text == "{"))
-            {
-                j += 1;
-            }
-            i = j;
-            continue;
+        if t.text == "spawn" && prev_dot && next_open {
+            is_root = true;
         }
 
-        if t.kind == TokKind::Ident && !model.masked(t.line) {
-            let prev_dot = i > 0 && toks[i - 1].is_punct(".");
-            let next_open = toks.get(i + 1).is_some_and(|n| n.is_punct("("));
-
-            // Thread roots.
-            if (t.text == "spawn" || t.text == "scope")
-                && i >= 2
-                && toks[i - 1].is_punct("::")
-                && toks[i - 2].is_ident("thread")
+        // Field access: `self.field` or `<guard>.field`, not a call.
+        if prev_dot && !next_open {
+            let held = walk.held();
+            let via_guard = toks.get(i.wrapping_sub(2)).and_then(|r| {
+                (r.kind == TokKind::Ident)
+                    .then(|| held.iter().find(|g| g.name.as_ref() == Some(&r.text)))
+                    .flatten()
+            });
+            let via_self = toks
+                .get(i.wrapping_sub(2))
+                .is_some_and(|r| r.is_ident("self"))
+                && !(i >= 3 && toks[i - 3].is_punct("."));
+            // `x.f.sync_op(…)` is a synchronization op, not data.
+            let sync_next = toks.get(i + 1).is_some_and(|n| n.is_punct("."))
+                && toks
+                    .get(i + 2)
+                    .is_some_and(|n| SYNC_METHODS.contains(&n.text.as_str()))
+                && toks.get(i + 3).is_some_and(|n| n.is_punct("("));
+            if (via_guard.is_some() || via_self)
+                && !sync_next
+                && fields.contains(&(f.krate.clone(), t.text.clone()))
             {
-                is_root = true;
-            }
-            if t.text == "spawn" && prev_dot && next_open {
-                is_root = true;
-            }
-
-            // `drop(g)` releases a bound guard.
-            if t.text == "drop"
-                && next_open
-                && toks.get(i + 2).is_some_and(|n| n.kind == TokKind::Ident)
-                && toks.get(i + 3).is_some_and(|n| n.is_punct(")"))
-            {
-                let name = toks[i + 2].text.clone();
-                held.retain(|g| g.name.as_deref() != Some(&name));
-                i += 4;
-                continue;
-            }
-
-            // Acquisition: `<expr>.lock()` — same tracking as locks.rs.
-            if t.text == "lock"
-                && prev_dot
-                && next_open
-                && toks.get(i + 2).is_some_and(|n| n.is_punct(")"))
-            {
-                let base = match toks.get(i.wrapping_sub(2)) {
-                    Some(p) if p.kind == TokKind::Ident && p.text != "self" => p.text.clone(),
-                    Some(p) if p.is_ident("self") => {
-                        f.self_type.clone().unwrap_or_else(|| f.name.clone())
-                    }
-                    _ => "<anon>".to_string(),
-                };
-                let id = format!("{}::{}", f.krate, base);
-                let whole_init = toks.get(i + 3).is_some_and(|n| n.is_punct(";"));
-                let (name, depth, nest) = binding_of(toks, stmt_start, i, whole_init);
-                held.push(Guard {
-                    id,
-                    name,
-                    depth,
-                    nest,
-                });
-                i += 3;
-                continue;
-            }
-
-            // Field access: `self.field` or `<guard>.field`, not a call.
-            if prev_dot && !next_open {
-                let via_guard = toks.get(i.wrapping_sub(2)).and_then(|r| {
-                    (r.kind == TokKind::Ident)
-                        .then(|| {
-                            held.iter()
-                                .find(|g| g.name.as_deref() == Some(r.text.as_str()))
-                        })
-                        .flatten()
-                });
-                let via_self = toks
-                    .get(i.wrapping_sub(2))
-                    .is_some_and(|r| r.is_ident("self"))
-                    && !(i >= 3 && toks[i - 3].is_punct("."));
-                // `x.f.sync_op(…)` is a synchronization op, not data.
-                let sync_next = toks.get(i + 1).is_some_and(|n| n.is_punct("."))
-                    && toks
-                        .get(i + 2)
-                        .is_some_and(|n| SYNC_METHODS.contains(&n.text.as_str()))
-                    && toks.get(i + 3).is_some_and(|n| n.is_punct("("));
-                if (via_guard.is_some() || via_self)
-                    && !sync_next
-                    && fields.contains(&(f.krate.clone(), t.text.clone()))
-                {
-                    let guarded = via_guard.is_some() || !held.is_empty();
-                    let lock = via_guard
-                        .map(|g| g.id.clone())
-                        .or_else(|| held.last().map(|g| g.id.clone()));
-                    if guarded || recv == Receiver::Shared {
-                        accesses
-                            .entry((f.krate.clone(), t.text.clone()))
-                            .or_default()
-                            .push(Access {
-                                fn_key: (f.krate.clone(), f.name.clone()),
-                                file: f.file,
-                                line: t.line,
-                                guarded,
-                                lock,
-                            });
-                    }
+                let guarded = via_guard.is_some() || !held.is_empty();
+                let lock = via_guard
+                    .map(|g| g.id.clone())
+                    .or_else(|| held.last().map(|g| g.id.clone()));
+                if guarded || recv == Receiver::Shared {
+                    accesses
+                        .entry((f.krate.clone(), t.text.clone()))
+                        .or_default()
+                        .push(Access {
+                            fn_key: (f.krate.clone(), f.name.clone()),
+                            file: f.file,
+                            line: t.line,
+                            guarded,
+                            lock,
+                        });
                 }
             }
-
-            // Calls by bare name for thread-reachability propagation.
-            if next_open
-                && !NON_CALL.contains(&t.text.as_str())
-                && t.text != "lock"
-                && t.text != f.name
-                && !(i > 0 && toks[i - 1].is_ident("fn"))
-            {
-                calls.insert(t.text.clone());
-            }
         }
 
-        if t.is_punct(";") || t.is_punct("=>") || t.text == "{" || t.text == "}" {
-            stmt_start = i + 1;
+        // Calls by bare name for thread-reachability propagation.
+        if walk.is_call(i) {
+            calls.insert(t.text.clone());
         }
-        i += 1;
     }
     is_root
 }
 
-/// Was the acquisition bound by its statement (`let [mut] name = …;`)?
-fn binding_of(
-    toks: &[Tok],
-    stmt_start: usize,
-    at: usize,
-    whole_init: bool,
-) -> (Option<String>, u32, u32) {
-    let stmt = &toks[stmt_start.min(at)..at];
-    let depth = stmt.first().map_or(toks[at].depth, |t| t.depth);
-    let nest = stmt.first().map_or(toks[at].nest, |t| t.nest);
-    let mut it = stmt.iter();
-    if whole_init && it.next().is_some_and(|t| t.is_ident("let")) {
-        let mut t = it.next();
-        if t.is_some_and(|t| t.is_ident("mut")) {
-            t = it.next();
-        }
-        if let (Some(name), Some(eq)) = (t, it.next()) {
-            if name.kind == TokKind::Ident && eq.is_punct("=") {
-                return (Some(name.text.clone()), depth, nest);
-            }
-        }
-    }
-    (None, depth, nest)
-}
-
 /// Run the guarded-field pass; findings are keyed by file index.
 pub fn race_findings(w: &WorkspaceModel) -> Vec<(usize, RawFinding)> {
-    let items = fn_items(w);
     let fields: BTreeSet<(String, String)> = field_decls(w)
         .into_iter()
         .map(|d| (d.krate, d.name))
@@ -364,12 +228,12 @@ pub fn race_findings(w: &WorkspaceModel) -> Vec<(usize, RawFinding)> {
     let mut accesses: BTreeMap<(String, String), Vec<Access>> = BTreeMap::new();
     let mut adj: BTreeMap<(String, String), BTreeSet<String>> = BTreeMap::new();
     let mut roots: BTreeSet<(String, String)> = BTreeSet::new();
-    for f in &items {
+    for f in &w.fns {
         if !in_scope(w, f) {
             continue;
         }
         let mut calls = BTreeSet::new();
-        let is_root = scan_fn(w, f, &items, &fields, &mut accesses, &mut calls);
+        let is_root = scan_fn(w, f, &fields, &mut accesses, &mut calls);
         let key = (f.krate.clone(), f.name.clone());
         if is_root {
             roots.insert(key.clone());

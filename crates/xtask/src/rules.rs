@@ -1,4 +1,4 @@
-//! The per-file lint rules (token-stream edition) and the shared
+//! The per-file rules (token-stream edition) and the shared
 //! finding/annotation resolution engine.
 //!
 //! Three families (see DESIGN "Static analysis & invariants"):
@@ -10,11 +10,11 @@
 //! * **panic-hygiene** (library crates' library code): `unwrap`,
 //!   `expect`, `panic`;
 //! * **workspace-hygiene** (everywhere it makes sense): `print`, `dbg`,
-//!   plus the manifest-level `lints-table` check in `lint.rs`.
+//!   plus the manifest-level `lints-table` check in `analyze.rs`.
 //!
-//! The cross-file passes (`locks`, `units`, `nondet`) add their rules on
-//! top under `cargo run -p xtask -- analyze`; their findings flow
-//! through the same [`resolve`] engine, so the
+//! The other passes (`locks`, `units`, `nondet`, `protocol`, `hotpath`,
+//! `races`) add their rules on top; their findings flow through the same
+//! [`resolve`] engine, so the
 //! `// lint:allow(<rule>) -- <reason>` annotation grammar covers every
 //! rule uniformly. Annotations without a reason (`bad-allow`) or
 //! without a matching violation (`stale-allow`) are themselves errors.
@@ -60,32 +60,10 @@ pub const RULES: &[&str] = &[
 ];
 
 /// Rules whose counts are governed by the burn-down budget file rather
-/// than zero tolerance (`lint` subset).
-pub const BUDGETED_RULES: &[&str] = &["unwrap", "expect", "panic"];
-
-/// Budgeted rules under `analyze` (the lint set plus `units` and
-/// `hot-cost`, so legacy conversion debt and the hot-path cost
-/// inventory can ratchet down instead of blocking).
-pub const ANALYZE_BUDGETED_RULES: &[&str] = &["unwrap", "expect", "panic", "units", "hot-cost"];
-
-/// Rules only checked by `analyze`; `lint` must not report their
-/// annotations as stale and must ignore their budget entries.
-pub const ANALYZE_ONLY_RULES: &[&str] = &[
-    "lock-order",
-    "lock-across-blocking",
-    "units",
-    "nondet-wall-clock",
-    "nondet-hash-iter",
-    "nondet-float-reduction",
-    "protocol-transition",
-    "protocol-undeclared",
-    "protocol-unreachable",
-    "protocol-terminal",
-    "protocol-duality",
-    "hot-cost",
-    "race-guarded-field",
-    "marker-hygiene",
-];
+/// than zero tolerance: panic hygiene, `units` and `hot-cost`, so legacy
+/// conversion debt and the hot-path cost inventory can ratchet down
+/// instead of blocking.
+pub const BUDGETED_RULES: &[&str] = &["unwrap", "expect", "panic", "units", "hot-cost"];
 
 /// The two files that own the raw v1 header codec; everywhere else in
 /// real-mode library code must go through `mplite::frame` so the CRC
@@ -114,14 +92,7 @@ pub struct FileReport {
     pub budgeted: Vec<Diagnostic>,
 }
 
-/// Check one source file with the `lint` rule set (lexes internally).
-pub fn check_file(rel_path: &str, source: &str, ctx: &FileCtx) -> FileReport {
-    let model = FileModel::parse(rel_path, source);
-    let findings = file_findings(&model, ctx);
-    resolve(&model, findings, BUDGETED_RULES, ANALYZE_ONLY_RULES)
-}
-
-/// Run the per-file lint rules over an already-lexed model.
+/// Run the per-file rules over an already-lexed model.
 pub fn file_findings(model: &FileModel, ctx: &FileCtx) -> Vec<RawFinding> {
     let mut findings: Vec<RawFinding> = Vec::new();
     let toks = &model.toks;
@@ -309,13 +280,11 @@ pub fn file_findings(model: &FileModel, ctx: &FileCtx) -> Vec<RawFinding> {
 ///
 /// An allow on line N covers a finding on line N or line N+1
 /// (comment-above style). `budgeted_rules` routes surviving findings to
-/// the budget channel; allows naming a rule in `stale_exempt` are never
-/// reported stale (they belong to a checker that is not running).
+/// the budget channel.
 pub fn resolve(
     model: &FileModel,
     findings: Vec<RawFinding>,
     budgeted_rules: &[&str],
-    stale_exempt: &[&str],
 ) -> FileReport {
     let mut used = vec![false; model.allows.len()];
     let mut report = FileReport::default();
@@ -345,7 +314,7 @@ pub fn resolve(
                 "bad-allow",
                 "malformed annotation; use `lint:allow(<rule>) -- <reason>`",
             ));
-        } else if !used[ai] && !stale_exempt.contains(&a.rule.as_str()) {
+        } else if !used[ai] {
             report.diagnostics.push(Diagnostic::new(
                 &model.rel,
                 a.line,
@@ -367,7 +336,8 @@ mod tests {
 
     fn check(path: &str, src: &str) -> FileReport {
         let ctx = classify(path).expect("classifiable path");
-        check_file(path, src, &ctx)
+        let model = FileModel::parse(path, src);
+        resolve(&model, file_findings(&model, &ctx), BUDGETED_RULES)
     }
 
     #[test]
@@ -479,17 +449,6 @@ mod tests {
             "let y = 1; // lint:allow(unwrap) -- nothing here\n",
         );
         assert!(r.diagnostics.iter().any(|d| d.rule == "stale-allow"));
-    }
-
-    #[test]
-    fn analyze_rule_allows_are_not_stale_under_lint() {
-        // `lint` does not run the cross-file passes, so an annotation
-        // carrying an analyze-only finding must not be reported stale.
-        let r = check(
-            "crates/mplite/src/x.rs",
-            "let y = 1; // lint:allow(lock-across-blocking) -- guard is private to this thread\n",
-        );
-        assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
     }
 
     #[test]

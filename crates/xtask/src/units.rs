@@ -71,17 +71,14 @@ const BLESSED: &[&str] = &[
     "ns_to_ms",
 ];
 
-/// Does the units pass govern this file?
-fn in_scope(model: &FileModel, ctx: &FileCtx) -> bool {
-    ctx.kind == FileKind::Lib
-        && ctx.crate_name != "xtask"
-        && !EXEMPT_FILES.contains(&model.rel.as_str())
-}
-
 /// Run the units pass over one file.
 pub fn units_findings(model: &FileModel, ctx: &FileCtx) -> Vec<RawFinding> {
     let mut findings: Vec<RawFinding> = Vec::new();
-    if !in_scope(model, ctx) {
+    // Library code only, never the analyzer itself or the unit system.
+    if ctx.kind != FileKind::Lib
+        || ctx.crate_name == "xtask"
+        || EXEMPT_FILES.contains(&model.rel.as_str())
+    {
         return findings;
     }
     let toks = &model.toks;

@@ -1,13 +1,11 @@
-//! Golden-diagnostic tests: seeded fixture files must produce exactly
-//! the expected `file:line: rule-id: message` output, clean counterparts
-//! must produce nothing, and the real workspace must lint clean (which
-//! also proves the checked-in budget matches the live counts).
+//! Golden-diagnostic tests for the per-file rules: seeded fixture files
+//! must produce exactly the expected `file:line: rule-id: message`
+//! output, clean counterparts must produce nothing, and a fixture tree
+//! must fail end to end with its manifest and budget findings.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use xtask::context::classify;
-use xtask::lint::lint_workspace;
-use xtask::rules::check_file;
+use xtask::analyze::{analyze_sources, analyze_workspace};
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -18,13 +16,10 @@ fn fixture(name: &str) -> String {
 
 /// Run a unit fixture as if it lived at `rel_path` in the real tree.
 fn diags_for(rel_path: &str, fixture_name: &str) -> Vec<String> {
-    let ctx = classify(rel_path).expect("classifiable path");
     let src = fixture(fixture_name);
-    let report = check_file(rel_path, &src, &ctx);
-    let mut out: Vec<String> = report
+    let mut out: Vec<String> = analyze_sources(&[(rel_path, &src)])
         .diagnostics
         .iter()
-        .chain(report.budgeted.iter())
         .map(ToString::to_string)
         .collect();
     out.sort();
@@ -178,7 +173,7 @@ fn panic_clean_is_silent() {
 #[test]
 fn fixture_tree_end_to_end() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/tree");
-    let outcome = lint_workspace(&root).expect("lint runs");
+    let outcome = analyze_workspace(&root).expect("analyze runs");
     assert!(!outcome.clean());
     assert_eq!(outcome.files_checked, 2);
     // mplite/unwrap: live count 1 is inside its budget of 1.
@@ -212,7 +207,7 @@ fn fixture_tree_end_to_end() {
 fn binary_exit_codes() {
     let tree = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/tree");
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_xtask"))
-        .args(["lint", "--root"])
+        .args(["analyze", "--root"])
         .arg(&tree)
         .output()
         .expect("xtask binary runs");
@@ -221,31 +216,13 @@ fn binary_exit_codes() {
     assert!(stdout.contains("lints-table"), "{stdout}");
     assert!(stdout.contains("violation(s)"), "{stdout}");
 
-    let usage = std::process::Command::new(env!("CARGO_BIN_EXE_xtask"))
-        .arg("no-such-command")
-        .output()
-        .expect("xtask binary runs");
-    assert_eq!(usage.status.code(), Some(2), "usage errors exit 2");
-}
-
-/// The real workspace must be clean: no violations, no stale budget.
-/// A clean outcome proves every budget entry equals its live count.
-#[test]
-fn real_workspace_is_clean() {
-    let root: PathBuf = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("workspace root")
-        .to_path_buf();
-    let outcome = lint_workspace(&root).expect("lint runs");
-    let msgs: Vec<String> = outcome
-        .diagnostics
-        .iter()
-        .map(ToString::to_string)
-        .collect();
-    assert!(
-        outcome.clean(),
-        "workspace lint found:\n{}",
-        msgs.join("\n")
-    );
+    // `analyze` is the only command: anything else, including the
+    // retired `lint`, is a usage error.
+    for cmd in ["no-such-command", "lint"] {
+        let usage = std::process::Command::new(env!("CARGO_BIN_EXE_xtask"))
+            .arg(cmd)
+            .output()
+            .expect("xtask binary runs");
+        assert_eq!(usage.status.code(), Some(2), "{cmd}: usage errors exit 2");
+    }
 }
